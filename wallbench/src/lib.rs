@@ -59,7 +59,7 @@ pub fn workload(name: &str, seed: u64, set: usize, size: Size) -> Option<Box<dyn
     Some(match name {
         "script_fleet" => Box::new(script_fleet::ScriptFleet::new(
             seed,
-            if small { 120 } else { 4_000 },
+            if small { 120 } else { 1_200 },
             4_600.0,
         )),
         "federation_1024" => Box::new(federation::Federation::new(

@@ -1,7 +1,7 @@
 //! `wallbench --workload <name> --seed <n> --seconds <s> --trace <0|1>`
 //!
-//! Repeats passes over the workload's generated input sets until `--seconds`
-//! of host time have gone by (and at least one pass per input set), checks
+//! Repeats whole cycles of passes over the workload's generated input sets
+//! while they fit in `--seconds` of host time (at least one cycle), checks
 //! every pass's outputs and that passes over one input set agree, and prints
 //! a header followed by one JSON result line.  `--trace 0` reports the
 //! end-to-end metrics; `--trace 1` alternates untraced and traced passes,
@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use tacoma_wallbench::report::{self, Metric};
+use tacoma_wallbench::report::{self, Cycle, Metric};
 use tacoma_wallbench::run::{run_pass, Outcome, Pass};
 use tacoma_wallbench::{replay, workload, Size, INPUT_SETS, WORKLOADS};
 
@@ -107,64 +107,76 @@ fn header(args: &Args) {
     );
 }
 
-/// Passes of one run, and the simulated outcome of each input set.
+/// Cycles of one run and the simulated outcome of each input set.
 struct Run {
     outcomes: Vec<Outcome>,
-    untraced: Vec<Pass>,
-    traced: Vec<Pass>,
+    cycles: Vec<Cycle>,
 }
 
-/// Cycles through the input sets until the time is up (at least one full
-/// cycle); every pass over an input set must
+/// Runs whole cycles over the input sets: at least one, and another only
+/// while the last cycle's length still fits in `--seconds`, so every input
+/// set weighs the same in every run.  Every pass over an input set must
 /// reproduce that set's first outcome exactly, traced or not.
 fn measure(args: &Args) -> Result<Run, String> {
     let sets: Vec<_> = (0..INPUT_SETS)
         .map(|set| workload(&args.workload, args.seed, set, Size::Full).expect("name checked"))
         .collect();
-    let deadline = Instant::now() + Duration::from_secs(args.seconds);
+    let start = Instant::now();
+    let budget = Duration::from_secs(args.seconds);
     let mut run = Run {
         outcomes: Vec::new(),
-        untraced: Vec::new(),
-        traced: Vec::new(),
+        cycles: Vec::new(),
     };
-    let mut i = 0;
-    while i < sets.len() || Instant::now() < deadline {
-        let set = i % sets.len();
-        let mut passes = vec![run_pass(sets[set].as_ref(), false)?];
-        if args.trace {
-            passes.push(run_pass(sets[set].as_ref(), true)?);
-        }
-        for pass in &passes {
-            match run.outcomes.get(set) {
-                None => run.outcomes.push(pass.outcome.clone()),
-                Some(first) if *first != pass.outcome => {
-                    return Err(format!(
-                        "a pass over input set {set} simulated a different outcome:\n{:?}\n\
-                         vs\n{first:?}",
-                        pass.outcome
-                    ))
+    loop {
+        let cycle_start = Instant::now();
+        let mut cycle = Cycle::default();
+        for (set, inputs) in sets.iter().enumerate() {
+            let untraced = run_pass(inputs.as_ref(), false)?;
+            let traced = if args.trace {
+                Some(run_pass(inputs.as_ref(), true)?)
+            } else {
+                None
+            };
+            for pass in std::iter::once(&untraced).chain(&traced) {
+                match run.outcomes.get(set) {
+                    None => run.outcomes.push(pass.outcome.clone()),
+                    Some(first) if *first != pass.outcome => {
+                        return Err(format!(
+                            "a pass over input set {set} simulated a different outcome:\n{:?}\n\
+                             vs\n{first:?}",
+                            pass.outcome
+                        ))
+                    }
+                    Some(_) => {}
                 }
-                Some(_) => {}
             }
+            cycle.untraced.push(untraced);
+            cycle.traced.extend(traced);
         }
-        let mut passes = passes.into_iter();
-        run.untraced.extend(passes.next());
-        run.traced.extend(passes);
-        i += 1;
+        run.cycles.push(cycle);
+        if start.elapsed() + cycle_start.elapsed() > budget {
+            return Ok(run);
+        }
     }
-    Ok(run)
 }
 
-fn print_passes(label: &str, passes: &[Pass]) {
-    for (i, p) in passes.iter().enumerate() {
-        let t = &p.timings;
-        println!(
-            "# {label} pass {i}: setup {:.4} s, feed {:.4} s, run {:.4} s, {:.0} meets/s",
-            t.setup_s,
-            t.feed_s,
-            t.run_s,
-            t.meets_per_s(&p.outcome)
-        );
+fn print_passes(label: &str, cycles: &[Cycle], passes: fn(&Cycle) -> &[Pass]) {
+    for (c, cycle) in cycles.iter().enumerate() {
+        for (set, p) in passes(cycle).iter().enumerate() {
+            let t = &p.timings;
+            println!(
+                "# {label} cycle {c} set {set}: setup {:.3} us ({:.3} us on-CPU, {} builds), \
+                 {:.4} s ({:.4} s on-CPU, feed {:.4} s, run {:.4} s), {:.0} meets/s",
+                t.setup_s() * 1e6,
+                t.setup_cpu_s * 1e6 / f64::from(t.builds),
+                t.builds,
+                t.norm_s,
+                t.cpu_s,
+                t.feed_s,
+                t.run_s,
+                t.meets_per_s(&p.outcome)
+            );
+        }
     }
 }
 
@@ -202,9 +214,13 @@ fn main() -> ExitCode {
             o.checked.wait_p99_ms
         );
     }
-    print_passes("untraced", &run.untraced);
+    print_passes("untraced", &run.cycles, |c| &c.untraced);
+    println!(
+        "# {} cycles; host times are normalized to the reference kernel (README)",
+        run.cycles.len()
+    );
     let metrics: Vec<Metric> = if args.trace {
-        print_passes("traced", &run.traced);
+        print_passes("traced", &run.cycles, |c| &c.traced);
         let first = workload(&args.workload, args.seed, 0, Size::Full).expect("name checked");
         let replayed = match replay::replay(first.as_ref()) {
             Ok(r) => r,
@@ -214,27 +230,25 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let (u, t) = (
-            report::meets_per_s(&run.untraced),
-            report::meets_per_s(&run.traced),
-        );
+        let untraced = report::meets_per_s(&run.cycles, |c| &c.untraced);
+        let traced = report::meets_per_s(&run.cycles, |c| &c.traced);
         println!(
-            "# tracing overhead: meets_per_s untraced {u:.0} traced {t:.0} ({:+.1}%), \
-             medians of {} and {} passes",
-            (t / u - 1.0) * 100.0,
-            run.untraced.len(),
-            run.traced.len()
+            "# tracing overhead: meets_per_s untraced {untraced:.0} traced {traced:.0} ({:+.1}%), \
+             medians of {} passes per input set",
+            (traced / untraced - 1.0) * 100.0,
+            run.cycles.len()
         );
-        report::per_layer(&run.outcomes[0], &run.traced, &run.untraced, &replayed)
+        report::per_layer(&run.outcomes[0], &run.cycles, &replayed)
     } else {
-        report::end_to_end(&run.outcomes, &run.untraced, peak_rss_mib())
+        report::end_to_end(&run.outcomes, &run.cycles, peak_rss_mib())
     };
     for m in &metrics {
         println!("# {} = {} {}", m.name, m.value, m.unit);
     }
-    let all = || run.untraced.iter().chain(&run.traced);
-    let attempted: u64 = all().map(|p| p.outcome.stats.meets_requested).sum();
-    let failed: u64 = all().map(|p| p.outcome.not_completed()).sum();
+    // One cycle's meets, so that the counts depend on the seed alone and
+    // not on how many cycles fit in `--seconds`.
+    let attempted: u64 = run.outcomes.iter().map(|o| o.stats.meets_requested).sum();
+    let failed: u64 = run.outcomes.iter().map(Outcome::errored).sum();
     println!(
         "{}",
         report::result_json(true, attempted.max(1), failed, &metrics)

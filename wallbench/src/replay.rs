@@ -8,7 +8,7 @@ use crate::script_fleet::{DEPTH_BUDGET, STEP_BUDGET};
 use std::hint::black_box;
 use std::time::Instant;
 use tacoma_core::{codec, wellknown};
-use tacoma_script::{AnalysisConfig, CostGate, Interp, InterpConfig, ScriptHost};
+use tacoma_script::{AnalysisConfig, CostGate, Interp, InterpConfig, NullHost};
 use tacoma_util::AgentId;
 
 /// Accumulated replay timings.
@@ -134,7 +134,7 @@ pub fn replay(workload: &dyn Workload) -> Result<Replay, String> {
             .ok()
             .and_then(|b| b.steps.hi)
             .ok_or_else(|| format!("text {i} admitted without a proven bound"))?;
-        let mut host = ReplayHost;
+        let mut host = NullHost;
         let mut interp = Interp::with_config(
             &mut host,
             InterpConfig {
@@ -153,68 +153,4 @@ pub fn replay(workload: &dyn Workload) -> Result<Replay, String> {
         r.steps += outcome.steps;
     }
     Ok(r)
-}
-
-/// A host with empty folders and cabinets that accepts every write: the
-/// benchmark's scripts only compute and record a result.
-struct ReplayHost;
-
-impl ScriptHost for ReplayHost {
-    fn bc_put(&mut self, _folder: &str, _value: &str) {}
-    fn bc_push(&mut self, _folder: &str, _value: &str) {}
-    fn bc_pop(&mut self, _folder: &str) -> Option<String> {
-        None
-    }
-    fn bc_dequeue(&mut self, _folder: &str) -> Option<String> {
-        None
-    }
-    fn bc_peek(&mut self, _folder: &str) -> Option<String> {
-        None
-    }
-    fn bc_list(&mut self, _folder: &str) -> Vec<String> {
-        Vec::new()
-    }
-    fn bc_delete(&mut self, _folder: &str) {}
-    fn cab_append(&mut self, _cabinet: &str, _folder: &str, value: &str) {
-        black_box(value);
-    }
-    fn cab_contains(&mut self, _cabinet: &str, _folder: &str, _value: &str) -> bool {
-        false
-    }
-    fn cab_list(&mut self, _cabinet: &str, _folder: &str) -> Vec<String> {
-        Vec::new()
-    }
-    fn cab_pop(&mut self, _cabinet: &str, _folder: &str) -> Option<String> {
-        None
-    }
-    fn meet(&mut self, agent: &str) -> Result<(), String> {
-        Err(format!("no agent '{agent}' in the replay host"))
-    }
-    fn move_to(&mut self, _site: u64, _contact: &str) -> Result<(), String> {
-        Err("the replay host does not migrate".to_string())
-    }
-    fn send_remote(
-        &mut self,
-        _site: u64,
-        _contact: &str,
-        _folders: &[String],
-    ) -> Result<(), String> {
-        Err("the replay host does not send".to_string())
-    }
-    fn site(&self) -> u64 {
-        0
-    }
-    fn site_count(&self) -> u64 {
-        1
-    }
-    fn neighbors(&self) -> Vec<u64> {
-        Vec::new()
-    }
-    fn random(&mut self, _bound: u64) -> u64 {
-        0
-    }
-    fn now_micros(&self) -> u64 {
-        0
-    }
-    fn log(&mut self, _message: &str) {}
 }

@@ -36,25 +36,48 @@ pub const AGENT_NAMES: [&str; 7] = [
     "mailroom",
 ];
 
-fn median_of(passes: &[Pass], f: impl Fn(&Pass) -> f64) -> f64 {
-    median(&passes.iter().map(f).collect::<Vec<_>>())
+/// One pass over every input set, in set order.
+#[derive(Default)]
+pub struct Cycle {
+    /// Untraced passes.
+    pub untraced: Vec<Pass>,
+    /// Traced passes (`--trace 1` only).
+    pub traced: Vec<Pass>,
 }
 
-/// Median meets requested per host second over `passes`.
-pub fn meets_per_s(passes: &[Pass]) -> f64 {
-    median_of(passes, |p| p.timings.meets_per_s(&p.outcome))
+/// Meets requested per normalized second, pooled over the input sets, each
+/// set's time being the median over its passes that `pick` selects.
+pub fn meets_per_s(cycles: &[Cycle], pick: fn(&Cycle) -> &[Pass]) -> f64 {
+    let mut meets = 0;
+    let mut seconds = 0.0;
+    for set in 0..pick(&cycles[0]).len() {
+        let passes: Vec<&Pass> = cycles.iter().map(|c| &pick(c)[set]).collect();
+        meets += passes[0].outcome.stats.meets_requested;
+        seconds += median(&passes.iter().map(|p| p.timings.norm_s).collect::<Vec<_>>());
+    }
+    meets as f64 / seconds
+}
+
+/// Median over the untraced passes of the normalized time of one build.
+pub fn setup_s(cycles: &[Cycle]) -> f64 {
+    let builds: Vec<f64> = cycles
+        .iter()
+        .flat_map(|c| &c.untraced)
+        .map(|p| p.timings.setup_s())
+        .collect();
+    median(&builds)
 }
 
 /// The end-to-end metrics of an untraced run.  Host times are medians over
-/// the passes; simulated waits are means over the input sets' percentiles,
-/// and `ok_ratio` pools the input sets.
-pub fn end_to_end(outcomes: &[Outcome], passes: &[Pass], peak_rss_mib: f64) -> Vec<Metric> {
+/// the passes, normalized by the reference kernel; simulated waits are means
+/// over the input sets' percentiles, and `ok_ratio` pools the input sets.
+pub fn end_to_end(outcomes: &[Outcome], cycles: &[Cycle], peak_rss_mib: f64) -> Vec<Metric> {
     let mean = |f: fn(&Outcome) -> f64| outcomes.iter().map(f).sum::<f64>() / outcomes.len() as f64;
     let completed: u64 = outcomes.iter().map(|o| o.stats.meets_completed).sum();
     let terminal: u64 = outcomes.iter().map(Outcome::terminal).sum();
     vec![
-        metric("meets_per_s", "1/s", meets_per_s(passes)),
-        metric("setup_s", "s", median_of(passes, |p| p.timings.setup_s)),
+        metric("meets_per_s", "1/s", meets_per_s(cycles, |c| &c.untraced)),
+        metric("setup_s", "s", setup_s(cycles)),
         metric("peak_rss_mib", "MiB", peak_rss_mib),
         metric("wait_p50_ms", "ms", mean(|o| o.checked.wait_p50_ms)),
         metric("wait_p99_ms", "ms", mean(|o| o.checked.wait_p99_ms)),
@@ -80,26 +103,28 @@ fn agent_metrics(trace: Option<&AgentTrace>) -> [f64; 4] {
     ]
 }
 
-/// The per-layer metrics of a traced run: host times are medians over the
-/// traced passes, counts are those of the first input set `o`.
-pub fn per_layer(o: &Outcome, traced: &[Pass], untraced: &[Pass], replay: &Replay) -> Vec<Metric> {
+/// The per-layer metrics of a traced run.  They describe the first input
+/// set: counts are its outcome `o`, host times are medians over its traced
+/// passes (one per cycle).
+pub fn per_layer(o: &Outcome, cycles: &[Cycle], replay: &Replay) -> Vec<Metric> {
     let s = &o.stats;
+    let set0: Vec<&Pass> = cycles.iter().map(|c| &c.traced[0]).collect();
+    let median_of =
+        |f: &dyn Fn(&Pass) -> f64| median(&set0.iter().map(|p| f(p)).collect::<Vec<_>>());
     let kernel_s = |p: &Pass| p.timings.run_s - p.timings.agent_busy_s;
     let mut out = vec![
-        metric("core.feed_s", "s", median_of(traced, |p| p.timings.feed_s)),
+        metric("core.feed_s", "s", median_of(&|p| p.timings.feed_s)),
         metric(
             "core.feed_calls",
             "count",
-            median_of(traced, |p| p.timings.feed_calls as f64),
+            median_of(&|p| p.timings.feed_calls as f64),
         ),
-        metric("core.run_s", "s", median_of(traced, |p| p.timings.run_s)),
-        metric("core.kernel_s", "s", median_of(traced, kernel_s)),
+        metric("core.run_s", "s", median_of(&|p| p.timings.run_s)),
+        metric("core.kernel_s", "s", median_of(&kernel_s)),
         metric(
             "core.kernel_ns_per_meet",
             "ns",
-            median_of(traced, |p| {
-                kernel_s(p) * 1e9 / p.outcome.executed().max(1) as f64
-            }),
+            median_of(&|p| kernel_s(p) * 1e9 / o.executed().max(1) as f64),
         ),
         metric("core.meets_requested", "count", s.meets_requested as f64),
         metric("core.meets_completed", "count", s.meets_completed as f64),
@@ -135,7 +160,7 @@ pub fn per_layer(o: &Outcome, traced: &[Pass], untraced: &[Pass], replay: &Repla
         metric("admission.queue_peak", "count", o.queue_peak as f64),
     ];
     for name in AGENT_NAMES {
-        let per_pass: Vec<[f64; 4]> = traced
+        let per_pass: Vec<[f64; 4]> = set0
             .iter()
             .map(|p| {
                 let tracer = p.tracer.as_ref().expect("traced passes carry a tracer");
@@ -181,8 +206,16 @@ pub fn per_layer(o: &Outcome, traced: &[Pass], untraced: &[Pass], replay: &Repla
         metric("sched.jobs_done", "count", o.checked.jobs_done as f64),
         metric("sched.forwarded", "count", o.checked.forwarded as f64),
         metric("sched.digests", "count", o.checked.digests as f64),
-        metric("trace.untraced_meets_per_s", "1/s", meets_per_s(untraced)),
-        metric("trace.traced_meets_per_s", "1/s", meets_per_s(traced)),
+        metric(
+            "trace.untraced_meets_per_s",
+            "1/s",
+            meets_per_s(cycles, |c| &c.untraced),
+        ),
+        metric(
+            "trace.traced_meets_per_s",
+            "1/s",
+            meets_per_s(cycles, |c| &c.traced),
+        ),
     ]);
     out
 }

@@ -2,15 +2,28 @@
 //! then collect and check the simulated outcome with the timer stopped.
 
 use crate::trace::{SharedTracer, Tracer};
+use std::collections::HashMap;
+use std::hint::black_box;
 use std::time::{Duration as HostDuration, Instant};
 use tacoma_core::{Briefcase, SystemStats, TacomaSystem};
 use tacoma_net::{Duration, SimTime};
 use tacoma_util::{AgentName, SiteId, Summary};
 
-/// Systems built per pass; the pass runs on the last, and its set-up time is
-/// the median build.  A single build of a small system takes microseconds and
-/// varies with what the previous pass left in the caches.
-const SETUP_REPEATS: usize = 5;
+/// Each pass builds its system again and again until the builds have taken
+/// this much on-CPU time (and at least [`SETUP_MIN_BUILDS`] times), then
+/// runs on the last.  A single build of a small system takes microseconds,
+/// so set-up time is the batch's total divided by its builds.
+const SETUP_BATCH: HostDuration = HostDuration::from_millis(20);
+/// Fewest builds per pass.
+const SETUP_MIN_BUILDS: u32 = 3;
+
+/// On-CPU time between two samples of the reference kernel.
+const REFERENCE_EVERY: HostDuration = HostDuration::from_millis(2);
+/// Rounds of the reference kernel's loop (about 20 us on a quiet 2 GHz Xeon).
+const REFERENCE_ROUNDS: u64 = 200;
+/// The reference kernel's time that normalized seconds are scaled to: a
+/// normalized second is a second on a host where the kernel takes this long.
+const REFERENCE_NOMINAL_S: f64 = 20e-6;
 
 /// Timer key no kernel timer uses (the kernel numbers its own timers upward
 /// from 1 and flags service and janitor timers in the two top bits).
@@ -145,14 +158,17 @@ impl Outcome {
         self.terminal() - self.stats.meets_completed
     }
 
+    /// Meets that ended in an error: failed at the contact, never sent, or
+    /// expired.  A shed meet is the admission policy's answer to overload,
+    /// not an error.
+    pub fn errored(&self) -> u64 {
+        let s = &self.stats;
+        s.meets_failed + s.send_failures + s.meets_expired
+    }
+
     /// `(failed + send_failures + expired + shed) / requested`.
     pub fn fail_ratio(&self) -> f64 {
         self.not_completed() as f64 / self.stats.meets_requested.max(1) as f64
-    }
-
-    /// Share of terminal meets that completed.
-    pub fn ok_ratio(&self) -> f64 {
-        self.stats.meets_completed as f64 / self.terminal().max(1) as f64
     }
 
     /// Meets the kernel executed (completed or failed at the contact).
@@ -161,11 +177,22 @@ impl Outcome {
     }
 }
 
-/// Host timings of one pass.
+/// Host timings of one pass.  `setup_norm_s`, `setup_cpu_s`, `norm_s` and
+/// `cpu_s` are on-CPU time of the benchmark's thread ([`thread_cpu_time`]),
+/// the `norm` ones normalized by `RefClock`; the others are wall time.
 #[derive(Debug, Clone, Default)]
 pub struct Timings {
-    /// System build, agent install and warm-up (median of the pass's builds).
-    pub setup_s: f64,
+    /// Normalized on-CPU time of the pass's builds (system build, agent
+    /// install and warm-up), summed.
+    pub setup_norm_s: f64,
+    /// The same, not normalized.
+    pub setup_cpu_s: f64,
+    /// Builds the pass made.
+    pub builds: u32,
+    /// Normalized on-CPU time of the feeding calls plus the event loop.
+    pub norm_s: f64,
+    /// The same, not normalized.
+    pub cpu_s: f64,
     /// Time inside the feeding calls.
     pub feed_s: f64,
     /// Feeding calls made.
@@ -177,9 +204,121 @@ pub struct Timings {
 }
 
 impl Timings {
-    /// Meets requested per host second of feeding plus event loop.
+    /// Meets requested per normalized second of feeding plus event loop.
     pub fn meets_per_s(&self, outcome: &Outcome) -> f64 {
-        outcome.stats.meets_requested as f64 / (self.feed_s + self.run_s)
+        outcome.stats.meets_requested as f64 / self.norm_s
+    }
+
+    /// Normalized time of one build.
+    pub fn setup_s(&self) -> f64 {
+        self.setup_norm_s / f64::from(self.builds)
+    }
+}
+
+/// On-CPU time of the calling thread (`CLOCK_THREAD_CPUTIME_ID`): time the
+/// thread spends waiting for a CPU does not count.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+#[allow(unsafe_code)]
+pub fn thread_cpu_time() -> HostDuration {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a valid, writable timespec of the layout the 64-bit
+    // Linux C library expects, and it outlives the call.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    HostDuration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+}
+
+/// A fixed kernel of hashing, string formatting and small allocations, the
+/// kind of work the interpreter and the kernel do.
+fn reference_kernel() {
+    let mut map: HashMap<String, u64> = HashMap::new();
+    let mut acc = 0u64;
+    for i in 0..REFERENCE_ROUNDS {
+        *map.entry(format!("k{}", i % 61)).or_default() += i;
+        let v: Vec<u64> = (0..8).map(|j| j ^ i).collect();
+        acc = acc.wrapping_add(black_box(v).iter().sum::<u64>());
+    }
+    black_box((acc, map.len()));
+}
+
+/// On-CPU time of one warm run of [`reference_kernel`].  The untimed run
+/// before it fills the caches, so the sample does not depend on what the
+/// program left in them.
+fn reference_s() -> f64 {
+    reference_kernel();
+    let start = thread_cpu_time();
+    reference_kernel();
+    (thread_cpu_time() - start).as_secs_f64()
+}
+
+/// Accumulates on-CPU time of timed sections, raw and normalized.
+///
+/// Other tenants of a shared host slow the benchmark's own instructions
+/// down, not only take its CPU away: on a 2-vCPU guest the same pass has run
+/// 1.5-2x slower for seconds to minutes at a time, on-CPU time included.  So
+/// a fixed reference kernel is sampled, outside the timed sections, every
+/// [`REFERENCE_EVERY`] of timed CPU time, and each stretch of timed time is
+/// scaled by `REFERENCE_NOMINAL_S / reference time` sampled just before it.
+/// A change to the program moves the timed sections and not the reference.
+struct RefClock {
+    cpu: HostDuration,
+    norm_s: f64,
+    stretch: HostDuration,
+    reference_s: f64,
+}
+
+impl RefClock {
+    /// Starts with a fresh reference sample.
+    fn new() -> Self {
+        RefClock {
+            cpu: HostDuration::ZERO,
+            norm_s: 0.0,
+            stretch: HostDuration::ZERO,
+            reference_s: reference_s(),
+        }
+    }
+
+    /// Times `f`, sampling the reference first if the current stretch is
+    /// full.
+    fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        if self.stretch >= REFERENCE_EVERY {
+            self.close_stretch();
+            self.reference_s = reference_s();
+        }
+        let start = thread_cpu_time();
+        let out = f();
+        let took = thread_cpu_time() - start;
+        self.cpu += took;
+        self.stretch += took;
+        out
+    }
+
+    fn close_stretch(&mut self) {
+        self.norm_s += self.stretch.as_secs_f64() * REFERENCE_NOMINAL_S / self.reference_s;
+        self.stretch = HostDuration::ZERO;
+    }
+
+    /// Raw on-CPU time so far.
+    fn cpu(&self) -> HostDuration {
+        self.cpu
+    }
+
+    /// Normalized and raw on-CPU seconds in total.
+    fn finish(mut self) -> (f64, f64) {
+        self.close_stretch();
+        (self.norm_s, self.cpu.as_secs_f64())
     }
 }
 
@@ -193,22 +332,26 @@ pub struct Pass {
     pub tracer: Option<SharedTracer>,
 }
 
-/// Runs one pass over `workload`.  Only the feeding calls and the event loop
-/// are timed; materializing arrivals, checking outputs and collecting
-/// counters happen with the timer stopped.
+/// Runs one pass over `workload`.  Only the builds, the feeding calls and
+/// the event loop are timed; materializing each window's arrivals, dropping
+/// systems, checking outputs and collecting counters happen with the timers
+/// stopped.
 pub fn run_pass(workload: &dyn Workload, traced: bool) -> Result<Pass, String> {
     let tracer = traced.then(Tracer::shared);
-    let mut setups = Vec::with_capacity(SETUP_REPEATS);
-    let mut built = None;
-    for _ in 0..SETUP_REPEATS {
-        drop(built.take());
-        let start = Instant::now();
-        built = Some(workload.build(tracer.as_ref()));
-        setups.push(start.elapsed().as_secs_f64());
-    }
-    let mut sys = built.expect("SETUP_REPEATS is positive");
+    let mut setup = RefClock::new();
+    let mut builds = 0;
+    let mut sys = loop {
+        let sys = setup.time(|| workload.build(tracer.as_ref()));
+        builds += 1;
+        if builds >= SETUP_MIN_BUILDS && setup.cpu() >= SETUP_BATCH {
+            break sys;
+        }
+    };
+    let (setup_norm_s, setup_cpu_s) = setup.finish();
     let mut timings = Timings {
-        setup_s: median(&setups),
+        setup_norm_s,
+        setup_cpu_s,
+        builds,
         ..Timings::default()
     };
     if let Some(t) = &tracer {
@@ -219,6 +362,7 @@ pub fn run_pass(workload: &dyn Workload, traced: bool) -> Result<Pass, String> {
     let mut events = 0u64;
     let mut feed = HostDuration::ZERO;
     let mut run = HostDuration::ZERO;
+    let mut clock = RefClock::new();
     let mut next = 0usize;
     let mut window_start = SimTime(sys.now().micros() / window.micros() * window.micros());
     while next < workload.len() {
@@ -229,40 +373,60 @@ pub fn run_pass(workload: &dyn Workload, traced: bool) -> Result<Pass, String> {
             next += 1;
         }
         let mode = workload.feed_mode();
-        for (due, a) in batch {
-            if mode == FeedMode::Inject && sys.now() < due {
-                // `inject_meet` requests the meet at the current simulated
-                // time, which only moves with events: a timer with no meet
-                // behind it (the kernel ignores it) brings the clock to the
-                // due time first.
-                let delay = due.since(sys.now());
-                sys.net_mut().schedule_timer(a.site, delay, CLOCK_TICK);
+        clock.time(|| {
+            for (due, a) in batch {
+                if mode == FeedMode::Inject && sys.now() < due {
+                    // `inject_meet` requests the meet at the current
+                    // simulated time, which only moves with events: a timer
+                    // with no meet behind it (the kernel ignores it) brings
+                    // the clock to the due time first.
+                    let delay = due.since(sys.now());
+                    sys.net_mut().schedule_timer(a.site, delay, CLOCK_TICK);
+                    let t = Instant::now();
+                    events += sys.run_until(due);
+                    run += t.elapsed();
+                }
                 let t = Instant::now();
-                events += sys.run_until(due);
-                run += t.elapsed();
+                match mode {
+                    FeedMode::Inject => sys.inject_meet(a.site, a.contact, a.briefcase),
+                    FeedMode::Schedule => {
+                        let delay = due.since(sys.now());
+                        sys.schedule_meet(a.site, a.contact, a.briefcase, delay);
+                    }
+                }
+                feed += t.elapsed();
+                timings.feed_calls += 1;
             }
             let t = Instant::now();
-            match mode {
-                FeedMode::Inject => sys.inject_meet(a.site, a.contact, a.briefcase),
-                FeedMode::Schedule => {
-                    let delay = due.since(sys.now());
-                    sys.schedule_meet(a.site, a.contact, a.briefcase, delay);
-                }
-            }
-            feed += t.elapsed();
-            timings.feed_calls += 1;
-        }
-        let t = Instant::now();
-        events += sys.run_until(window_end);
-        run += t.elapsed();
+            events += sys.run_until(window_end);
+            run += t.elapsed();
+        });
         window_start = window_end;
     }
-    let t = Instant::now();
-    events += match workload.drain() {
-        Drain::Quiescent => sys.run_until_quiescent(u64::MAX),
-        Drain::Until(at) => sys.run_until(at),
-    };
-    run += t.elapsed();
+    // The drain runs in windows of the same width, so that the reference is
+    // sampled through it as through the feeding.  Stepping `run_until`
+    // across window ends processes the same events as one call would.
+    let drain = workload.drain();
+    loop {
+        let window_end = match drain {
+            Drain::Quiescent => match sys.net().peek_time() {
+                None => break,
+                Some(next) => {
+                    SimTime(next.micros() / window.micros() * window.micros()).max(window_start)
+                        + window
+                }
+            },
+            Drain::Until(at) if window_start >= at => break,
+            Drain::Until(at) => (window_start + window).min(at),
+        };
+        clock.time(|| {
+            let t = Instant::now();
+            events += sys.run_until(window_end);
+            run += t.elapsed();
+        });
+        window_start = window_end;
+    }
+    (timings.norm_s, timings.cpu_s) = clock.finish();
     timings.feed_s = feed.as_secs_f64();
     timings.run_s = run.as_secs_f64();
     if let Some(t) = &tracer {
